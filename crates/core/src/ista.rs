@@ -76,8 +76,63 @@ pub fn sparsify(p: &mut [Complex64], t: f64) {
     }
 }
 
-/// Reusable solver buffers: the iterates, extrapolation point and
-/// forward/adjoint images [`solve_planned_into`] ping-pongs between.
+/// [`sparsify`] on one value, with a squared-magnitude pre-test in
+/// front of `hypot` — the shrink of the exact tier's fused FISTA step
+/// ([`Ndft::fused_prox_step`]).
+///
+/// The pre-test zeroes `z` without `hypot` when
+/// `re*re + im*im < t²·(1 − 2⁻²⁰)`. That decision is always the one
+/// `sparsify` makes (`|z| <= t`, zero): the computed square sum is
+/// within a relative `2·2⁻⁵³` of `|z|²` (plus absolute underflow error
+/// below `2⁻¹⁰⁷³`, negligible against a normal `t²`), the computed bound
+/// within `2·2⁻⁵³` of `t²·(1 − 2⁻²⁰)`, so a passing bin has
+/// `|z| < t·(1 − 2⁻²²)` and even a `hypot` a few ulp off returns a
+/// magnitude `<= t`. Bins that fail the test — near or above the
+/// threshold, or with NaN/infinite parts — take `sparsify`'s own
+/// arithmetic. The pre-test is off when `t²` is not a normal number
+/// (subnormal, zero, infinite or NaN), where that error bound fails.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SoftThreshold {
+    t: f64,
+    /// Pre-test bound `t²·(1 − 2⁻²⁰)`, or `-inf` when the pre-test is off.
+    t2_lo: f64,
+}
+
+impl SoftThreshold {
+    /// Relative margin of the pre-test bound below `t²`.
+    const MARGIN: f64 = 1.0 / 1_048_576.0;
+
+    pub(crate) fn new(t: f64) -> Self {
+        let t2 = t * t;
+        let t2_lo = if t2.is_normal() {
+            t2 * (1.0 - Self::MARGIN)
+        } else {
+            f64::NEG_INFINITY
+        };
+        SoftThreshold { t, t2_lo }
+    }
+
+    /// The soft-threshold of `(re, im)`, bit for bit `sparsify`'s.
+    #[inline(always)]
+    pub(crate) fn apply(&self, re: f64, im: f64) -> (f64, f64) {
+        if self.t <= 0.0 {
+            return (re, im);
+        }
+        if re * re + im * im < self.t2_lo {
+            return (0.0, 0.0);
+        }
+        let mag = re.hypot(im);
+        if mag <= self.t {
+            (0.0, 0.0)
+        } else {
+            let s = (mag - self.t) / mag;
+            (re * s, im * s)
+        }
+    }
+}
+
+/// Reusable solver buffers: the iterate, extrapolation point and
+/// forward image [`solve_planned_into`] works in.
 ///
 /// Allocated once (typically per engine worker, inside a
 /// [`crate::pipeline::SweepPipeline`]); every later solve of any size up
@@ -87,14 +142,11 @@ pub fn sparsify(p: &mut [Complex64], t: f64) {
 pub struct IstaScratch {
     /// Current iterate; holds the solution after a solve.
     p: Vec<Complex64>,
-    /// FISTA extrapolation point.
+    /// FISTA extrapolation point (the data's adjoint image before the
+    /// first iteration).
     y: Vec<Complex64>,
-    /// Gradient-step target, swapped with `p` each iteration.
-    next: Vec<Complex64>,
     /// Forward image / residual buffer (measurement length).
     fy: Vec<Complex64>,
-    /// Adjoint image / gradient buffer (grid length).
-    grad: Vec<Complex64>,
     /// Structure-of-arrays mirrors of the iterates for the lane-chunked
     /// solver of the `simd` feature.
     #[cfg(feature = "simd")]
@@ -231,9 +283,10 @@ fn solve_with_norm(ndft: &Ndft, h: &[Complex64], cfg: &IstaConfig, op_norm: f64)
     }
 }
 
-/// The solver body over caller-provided buffers. The FISTA extrapolation
-/// ping-pongs `p`/`next` (a pointer swap) instead of cloning the iterate
-/// every step; all arithmetic — order included — matches the historical
+/// The exact-tier solver body over caller-provided buffers. Each
+/// iteration is the support-restricted forward `F y - h` plus one fused
+/// grid pass ([`Ndft::fused_prox_step`]) that updates `p` and `y` in
+/// place; all arithmetic — order included — matches the historical
 /// per-iteration-allocating loop exactly.
 fn solve_with_norm_into(
     ndft: &Ndft,
@@ -254,26 +307,18 @@ fn solve_with_norm_into(
     let op_norm = op_norm.max(1e-12);
     let gamma = 1.0 / (2.0 * op_norm * op_norm);
 
+    let IstaScratch { p, y, fy, .. } = scratch;
     // Threshold from the adjoint image of the data: alpha_rel = 1 would
     // zero the first iterate entirely.
-    ndft.adjoint_into(h, &mut scratch.grad);
-    let alpha = cfg.alpha_rel * cvec::norm_inf(&scratch.grad) * 2.0; // matches L scaling
+    ndft.adjoint_into(h, y);
+    let alpha = cfg.alpha_rel * cvec::norm_inf(y) * 2.0; // matches L scaling
     let thresh = gamma * alpha;
 
-    let IstaScratch {
-        p,
-        y,
-        next,
-        fy,
-        grad,
-        ..
-    } = scratch;
     p.clear();
     p.resize(m, Complex64::ZERO);
     y.clear();
     y.resize(m, Complex64::ZERO); // FISTA extrapolation point
-    next.clear();
-    next.resize(m, Complex64::ZERO);
+    let g2 = 2.0 * gamma;
     let mut t_momentum = 1.0f64;
     let mut iterations = 0;
     let mut converged = false;
@@ -285,30 +330,14 @@ fn solve_with_norm_into(
         for (r, hi) in fy.iter_mut().zip(h.iter()) {
             *r -= *hi;
         }
-        ndft.adjoint_into(fy, grad);
-        for ((n, yi), gi) in next.iter_mut().zip(y.iter()).zip(grad.iter()) {
-            *n = *yi - gi.scale(2.0 * gamma);
-        }
-        sparsify(next, thresh);
-
-        let delta = cvec::dist2(next, p);
-        let scale = cvec::norm2(p) + 1.0;
-
-        if cfg.accelerated {
+        let beta = cfg.accelerated.then(|| {
             let t_next = 0.5 * (1.0 + (1.0 + 4.0 * t_momentum * t_momentum).sqrt());
             let beta = (t_momentum - 1.0) / t_next;
-            for ((yi, n), o) in y.iter_mut().zip(next.iter()).zip(p.iter()) {
-                *yi = *n + (*n - *o).scale(beta);
-            }
             t_momentum = t_next;
-        } else {
-            y.copy_from_slice(next);
-        }
-        // `p <- next`; the old iterate's buffer becomes the next target
-        // (fully overwritten before it is read again).
-        std::mem::swap(p, next);
-
-        if delta < cfg.epsilon * scale {
+            beta
+        });
+        let (delta2, pnorm2) = ndft.fused_prox_step(fy, g2, thresh, beta, p, y);
+        if delta2.sqrt() < cfg.epsilon * (pnorm2.sqrt() + 1.0) {
             converged = true;
             break;
         }
@@ -815,7 +844,7 @@ mod tests {
 
     /// A literal transcription of the pre-refactor solver loop (fresh
     /// `Vec` per iteration, `clone()`-based FISTA extrapolation), kept
-    /// only to pin the ping-pong rewrite bit for bit.
+    /// only to pin the fused exact-tier solver bit for bit.
     fn reference_solve(
         ndft: &Ndft,
         h: &[Complex64],
@@ -883,7 +912,7 @@ mod tests {
 
     #[test]
     fn ping_pong_buffers_pin_reference_convergence() {
-        // Exact-tier contract: the two-buffer FISTA extrapolation must
+        // Exact-tier contract: the in-place fused FISTA iteration must
         // reproduce the clone-per-iteration reference exactly — same
         // iterates, same iteration count, same residual — for both the
         // accelerated and plain solvers, including a reused scratch.
@@ -962,6 +991,261 @@ mod tests {
                 assert!((a.residual - b.residual).abs() <= 1e-6 * a.residual.max(1e-9));
             }
         }
+    }
+
+    /// The 2.4 GHz group's band centers (inverted at delay scale 8).
+    fn freqs_24() -> Vec<f64> {
+        chronos_rf::bands::band_plan()
+            .iter()
+            .filter(|b| b.group.is_2g4())
+            .map(|b| b.center_hz)
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(3))]
+
+        /// Exact-tier contract at the production shape (800 bins of
+        /// 0.25 ns): the fused solver reproduces the historical loop bit
+        /// for bit on random multipath channels plus noise, for the
+        /// 24-band 5 GHz group and the 11-band 2.4 GHz group at delay
+        /// scale 8, with and without momentum, across thresholds — solves
+        /// that stop at the 400-iteration cap included.
+        #[test]
+        fn fused_solver_matches_reference_at_production_shape(
+            paths in proptest::collection::vec((1.0f64..22.0, 0.05f64..1.0, -PI..PI), 1..5),
+            noise in proptest::collection::vec((0.0f64..0.05, -PI..PI), 24..25),
+        ) {
+            let grid = TauGrid::span(200.0, 0.25);
+            let mut scratch = IstaScratch::new();
+            let mut cap_hits = 0;
+            for (f, scale) in [(freqs(), 2.0), (freqs_24(), 8.0)] {
+                let plan = crate::plan::NdftPlan::new(&f, grid, 60.0);
+                let h: Vec<Complex64> = f
+                    .iter()
+                    .zip(noise.iter())
+                    .map(|(fi, (na, nph))| {
+                        paths.iter().fold(Complex64::from_polar(*na, *nph), |acc, (tof, a, ph)| {
+                            acc + Complex64::from_polar(*a, ph - 2.0 * PI * fi * scale * tof * 1e-9)
+                        })
+                    })
+                    .collect();
+                for accelerated in [true, false] {
+                    for alpha_rel in [0.0, 0.12, 0.5] {
+                        let cfg = IstaConfig {
+                            alpha_rel,
+                            accelerated,
+                            max_iters: 400,
+                            ..Default::default()
+                        };
+                        let want = reference_solve(&plan.ndft, &h, &cfg, plan.op_norm);
+                        let got = solve_planned_into_scalar(&plan, &h, &cfg, &mut scratch);
+                        let case = format!("bands={} acc={accelerated} alpha={alpha_rel}", f.len());
+                        proptest::prop_assert_eq!(got.iterations, want.iterations, "{}", case);
+                        proptest::prop_assert_eq!(got.converged, want.converged, "{}", case);
+                        proptest::prop_assert_eq!(got.residual.to_bits(), want.residual.to_bits(), "{}", case);
+                        for (k, (a, b)) in scratch.solution().iter().zip(want.p.iter()).enumerate() {
+                            proptest::prop_assert_eq!(a.re.to_bits(), b.re.to_bits(), "{} bin {}", case, k);
+                            proptest::prop_assert_eq!(a.im.to_bits(), b.im.to_bits(), "{} bin {}", case, k);
+                        }
+                        cap_hits += usize::from(!want.converged);
+                    }
+                }
+            }
+            proptest::prop_assert!(cap_hits > 0, "no solve reached the iteration cap");
+        }
+    }
+
+    #[test]
+    fn fused_shrink_matches_sparsify_at_the_threshold() {
+        // The fused step's keep/zero/shrink decision must be `sparsify`'s,
+        // bit for bit, where it is hardest to get right: magnitudes a few
+        // ulp either side of the threshold and of the pre-test bound,
+        // thresholds whose square is not normal, and non-finite parts.
+        // A threshold whose square is subnormal also gets a constructed
+        // value that only the disabled pre-test gets right.
+        // `k` ulp up (or down, for negative `k`) from a positive finite `x`.
+        let up = |x: f64, k: i64| f64::from_bits(x.to_bits().wrapping_add_signed(k));
+        let thresholds = [
+            0.37,
+            1.0,
+            3.0e-3,
+            f64::MIN_POSITIVE.sqrt(), // t² at the normal boundary
+            1.0e-160,                 // t² subnormal
+            1.0e-170,                 // t² underflows to zero
+            1.0e160,                  // t² overflows
+            0.0,
+            -0.5,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for t in thresholds {
+            let mut values = vec![
+                Complex64::ZERO,
+                Complex64::new(-0.0, 0.0),
+                Complex64::new(0.0, -0.0),
+                Complex64::new(5e-324, 0.0),
+                Complex64::new(1e300, -1e300),
+                Complex64::new(f64::NAN, 0.0),
+                Complex64::new(0.0, f64::NAN),
+                Complex64::new(f64::INFINITY, 0.0),
+                Complex64::new(f64::NEG_INFINITY, 1.0),
+                Complex64::new(f64::INFINITY, f64::NAN),
+                Complex64::new(f64::NAN, f64::NEG_INFINITY),
+                Complex64::new(f64::INFINITY, f64::INFINITY),
+            ];
+            if t.is_finite() && t > 0.0 {
+                // |z| = t·(1 ± k ulp), on the axes (hypot exact) and on
+                // the diagonal (hypot rounded).
+                let pre = t * (1.0 - SoftThreshold::MARGIN).sqrt();
+                for centre in [t, pre] {
+                    for k in -4..=4 {
+                        let r = up(centre, k);
+                        let d = up(centre / std::f64::consts::SQRT_2, k);
+                        values.push(Complex64::new(r, 0.0));
+                        values.push(Complex64::new(0.0, -r));
+                        // A shrunk part keeps the sign of its zero.
+                        values.push(Complex64::new(r, -0.0));
+                        values.push(Complex64::new(-d, d));
+                        values.push(Complex64::new(d, up(d, 1)));
+                    }
+                    for rel in [-1e-6, -1e-9, 1e-9, 1e-6] {
+                        let d = centre * (1.0 + rel) / std::f64::consts::SQRT_2;
+                        values.push(Complex64::new(d, -d));
+                    }
+                }
+            }
+            check_against_sparsify(t, &values);
+        }
+        let (a, t) = subnormal_square_trap();
+        assert!(a * a + a * a < t * t && a.hypot(a) > t);
+        check_against_sparsify(t, &[Complex64::new(a, a), Complex64::new(-a, a)]);
+    }
+
+    /// Runs the fused step with a zero residual, so its gradient is +0
+    /// and it reduces to `p = SPARSIFY(y)`, and compares with `sparsify`.
+    fn check_against_sparsify(t: f64, values: &[Complex64]) {
+        let mut want = values.to_vec();
+        sparsify(&mut want, t);
+        let grid = TauGrid {
+            start_ns: 0.0,
+            step_ns: 1.0,
+            len: values.len(),
+        };
+        let ndft = Ndft::new(&[5.0e9, 5.5e9], grid);
+        let fy = [Complex64::ZERO; 2];
+        let mut p = vec![Complex64::ZERO; values.len()];
+        let mut y = values.to_vec();
+        ndft.fused_prox_step(&fy, 0.5, t, None, &mut p, &mut y);
+        // Bits must match, except that any NaN matches any NaN: Rust
+        // leaves the sign and payload of a NaN result unspecified, and
+        // the optimizer may commute the operands that choose them.
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        for (k, ((got, want), z)) in p.iter().zip(want.iter()).zip(values.iter()).enumerate() {
+            assert!(
+                same(got.re, want.re) && same(got.im, want.im),
+                "t={t:e} value {k}: {z} -> {got} vs sparsify {want}"
+            );
+        }
+    }
+
+    #[test]
+    fn fused_step_matches_unfused_iteration() {
+        // One iteration from a dense mid-solve state, with and without
+        // momentum: the fused pass against the historical sequence of
+        // adjoint, gradient step, SPARSIFY, dist2, norm2 and
+        // extrapolation — every output bit, the two sums included.
+        let f = freqs();
+        let grid = TauGrid::span(200.0, 0.25);
+        let ndft = Ndft::new(&f, grid);
+        let h = channel_for(&[(9.0, 1.0), (14.0, 0.5), (30.0, 0.2)], &f);
+        let wave = |k: usize, a: f64, b: f64| {
+            Complex64::from_polar(a * (1.0 + (b * k as f64).sin()), 0.7 * k as f64)
+        };
+        let p0: Vec<Complex64> = (0..grid.len).map(|k| wave(k, 0.01, 0.013)).collect();
+        let y0: Vec<Complex64> = (0..grid.len).map(|k| wave(k, 0.012, 0.029)).collect();
+        let mut fy = ndft.forward(&y0);
+        for (r, hi) in fy.iter_mut().zip(h.iter()) {
+            *r -= *hi;
+        }
+        let g2 = 2.0 / (2.0 * ndft.op_norm(40).powi(2));
+        let thresh = 0.01;
+        for beta in [Some(0.37), None] {
+            let grad = ndft.adjoint(&fy);
+            let mut next: Vec<Complex64> = y0
+                .iter()
+                .zip(grad.iter())
+                .map(|(yi, gi)| *yi - gi.scale(g2))
+                .collect();
+            sparsify(&mut next, thresh);
+            let survivors = next.iter().filter(|z| **z != Complex64::ZERO).count();
+            assert!(survivors > 100 && survivors < 700, "survivors {survivors}");
+            let delta = cvec::dist2(&next, &p0);
+            let scale = cvec::norm2(&p0);
+            let y_want: Vec<Complex64> = match beta {
+                Some(b) => next
+                    .iter()
+                    .zip(p0.iter())
+                    .map(|(n, o)| *n + (*n - *o).scale(b))
+                    .collect(),
+                None => next.clone(),
+            };
+
+            let (mut p, mut y) = (p0.clone(), y0.clone());
+            let (delta2, pnorm2) = ndft.fused_prox_step(&fy, g2, thresh, beta, &mut p, &mut y);
+            assert_eq!(delta2.sqrt().to_bits(), delta.to_bits(), "{beta:?}");
+            assert_eq!(pnorm2.sqrt().to_bits(), scale.to_bits(), "{beta:?}");
+            for (got, want) in [(&p, &next), (&y, &y_want)] {
+                for (k, (a, b)) in got.iter().zip(want.iter()).enumerate() {
+                    assert_eq!(a.re.to_bits(), b.re.to_bits(), "{beta:?} bin {k}");
+                    assert_eq!(a.im.to_bits(), b.im.to_bits(), "{beta:?} bin {k}");
+                }
+            }
+        }
+    }
+
+    /// A diagonal value `(a, a)` and a threshold `t` with `t²`
+    /// subnormal where the rounded squares say `|z| < t` but `|z| > t`
+    /// (and `hypot` sees it): the case that makes the pre-test unsound
+    /// for a non-normal `t²`.
+    ///
+    /// With `a = m·2⁻⁵⁸²` and `t = m_t·2⁻⁵⁸²` (integer `m`, `m_t` below
+    /// `2⁵³`), squares are exact integers times `2⁻¹¹⁶⁴`, i.e.
+    /// `m²/2⁹⁰` units of the smallest subnormal, so their rounding can
+    /// be computed exactly in `u128`.
+    fn subnormal_square_trap() -> (f64, f64) {
+        let units = |x: u128| {
+            // Round-half-even of x / 2^90.
+            let (q, r) = (x >> 90, x & ((1u128 << 90) - 1));
+            let half = 1u128 << 89;
+            q + u128::from(r > half || (r == half && q & 1 == 1))
+        };
+        let scale = 2f64.powi(-582);
+        // Consecutive m barely move the fraction of m²/2⁹⁰, so the
+        // candidates are spread by golden-ratio hashing instead.
+        for j in 1u64.. {
+            let m = (1u128 << 52) | u128::from(j.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 12);
+            let m2 = m * m;
+            let frac = m2 & ((1u128 << 90) - 1);
+            // a² rounds down, by more than a quarter unit.
+            if frac <= 1u128 << 88 || frac >= 1u128 << 89 {
+                continue;
+            }
+            // m_t = floor(sqrt(2) m), from the f64 estimate corrected exactly.
+            let mut mt = (m as f64 * std::f64::consts::SQRT_2) as u128;
+            while mt * mt > 2 * m2 {
+                mt -= 1;
+            }
+            while (mt + 1) * (mt + 1) <= 2 * m2 {
+                mt += 1;
+            }
+            // sqrt(2) m - m_t > 0.6, so hypot(a, a) rounds above t.
+            let gap_ok = (10 * mt + 6) * (10 * mt + 6) < 200 * m2;
+            if mt < 1 << 53 && gap_ok && units(mt * mt) == 2 * units(m2) + 1 {
+                return (m as f64 * scale, mt as f64 * scale);
+            }
+        }
+        unreachable!()
     }
 
     #[test]

@@ -49,42 +49,42 @@ impl TauGrid {
 
 /// The materialized NDFT operator.
 ///
-/// The matrix is stored as one contiguous row-major buffer so the
-/// forward/adjoint loops — the innermost loops of the whole estimator —
-/// stream memory linearly. Construction (and the power iteration for the
-/// operator norm) is the expensive part; sessions that sweep the same band
-/// plan should build the operator once via a `PlanCache` and share it.
+/// The matrix is kept in the two layouts its two products stream
+/// linearly — the innermost loops of the whole estimator:
+///
+/// * split re/im **row-major planes** (row `i` = frequency `i`) for the
+///   adjoint and the fused FISTA step, which accumulate a register tile
+///   of grid bins across all measurement rows;
+/// * an interleaved **column-major** copy for the forward transform,
+///   which skips the zero columns of a sparse profile.
+///
+/// Construction (and the power iteration for the operator norm) is the
+/// expensive part; sessions that sweep the same band plan should build
+/// the operator once via a `PlanCache` and share it.
 #[derive(Debug, Clone)]
 pub struct Ndft {
     freqs_hz: Vec<f64>,
     grid: TauGrid,
-    /// Row-major `n x m` matrix entries, row `i` = frequency `i`.
-    mat: Vec<Complex64>,
+    /// Row-major real parts of the `n x m` matrix, row `i` = frequency `i`.
+    re: Vec<f64>,
+    /// Row-major imaginary parts, laid out as `re`.
+    im: Vec<f64>,
     /// Column-major copy (`m x n`, column `k` contiguous): the forward
     /// transform walks *columns* so it can skip the zero entries of a
     /// sparse profile while streaming memory linearly. Same entries as
-    /// `mat`, copied at construction.
+    /// the planes, copied at construction.
     mat_t: Vec<Complex64>,
-    /// Structure-of-arrays copies of `mat`/`mat_t` (split re/im planes)
-    /// for the lane-chunked kernels of the `simd` feature. Same entries,
-    /// copied at construction.
+    /// Split re/im planes of `mat_t` for the lane-chunked forward
+    /// kernels of the `simd` feature. Same entries, copied at
+    /// construction.
     #[cfg(feature = "simd")]
-    split: SplitMats,
-}
-
-/// Split re/im planes of the operator for the `simd` lane kernels.
-#[cfg(feature = "simd")]
-#[derive(Debug, Clone, Default)]
-struct SplitMats {
-    /// Row-major real parts of `mat`.
-    mat_re: Vec<f64>,
-    /// Row-major imaginary parts of `mat`.
-    mat_im: Vec<f64>,
-    /// Column-major real parts (`mat_t`).
     mat_t_re: Vec<f64>,
-    /// Column-major imaginary parts (`mat_t`).
+    #[cfg(feature = "simd")]
     mat_t_im: Vec<f64>,
 }
+
+/// Grid bins per register tile of the exact-tier adjoint kernels.
+const TILE: usize = 8;
 
 impl Ndft {
     /// Builds the operator for measurement frequencies `freqs_hz` and the
@@ -95,35 +95,34 @@ impl Ndft {
     pub fn new(freqs_hz: &[f64], grid: TauGrid) -> Self {
         assert!(!freqs_hz.is_empty(), "need at least one frequency");
         assert!(grid.len > 0, "grid must be non-empty");
-        let mut mat = Vec::with_capacity(freqs_hz.len() * grid.len);
-        for f in freqs_hz {
-            for k in 0..grid.len {
-                let tau_s = grid.tau_at(k) * 1e-9;
-                mat.push(Complex64::cis(-2.0 * PI * f * tau_s));
-            }
-        }
         let n = freqs_hz.len();
         let m = grid.len;
+        let mut re = Vec::with_capacity(n * m);
+        let mut im = Vec::with_capacity(n * m);
+        for f in freqs_hz {
+            for k in 0..m {
+                let tau_s = grid.tau_at(k) * 1e-9;
+                let z = Complex64::cis(-2.0 * PI * f * tau_s);
+                re.push(z.re);
+                im.push(z.im);
+            }
+        }
         let mut mat_t = Vec::with_capacity(n * m);
         for k in 0..m {
             for i in 0..n {
-                mat_t.push(mat[i * m + k]);
+                mat_t.push(Complex64::new(re[i * m + k], im[i * m + k]));
             }
         }
-        #[cfg(feature = "simd")]
-        let split = SplitMats {
-            mat_re: mat.iter().map(|z| z.re).collect(),
-            mat_im: mat.iter().map(|z| z.im).collect(),
-            mat_t_re: mat_t.iter().map(|z| z.re).collect(),
-            mat_t_im: mat_t.iter().map(|z| z.im).collect(),
-        };
         Ndft {
             freqs_hz: freqs_hz.to_vec(),
             grid,
-            mat,
-            mat_t,
+            re,
+            im,
             #[cfg(feature = "simd")]
-            split,
+            mat_t_re: mat_t.iter().map(|z| z.re).collect(),
+            #[cfg(feature = "simd")]
+            mat_t_im: mat_t.iter().map(|z| z.im).collect(),
+            mat_t,
         }
     }
 
@@ -202,11 +201,113 @@ impl Ndft {
         );
         out.clear();
         out.resize(self.grid.len, Complex64::ZERO);
-        for (row, hi) in self.mat.chunks_exact(self.grid.len).zip(h.iter()) {
-            for (o, a) in out.iter_mut().zip(row.iter()) {
-                *o += a.conj() * *hi;
+        self.adjoint_bins(h, |k, gr, gi| out[k] = Complex64::new(gr, gi));
+    }
+
+    /// One exact-tier FISTA iteration over the whole grid in a single
+    /// pass. With `fy = F y - h` already formed, it computes per bin
+    ///
+    /// ```text
+    /// next = SPARSIFY(y - g2 * (F* fy), thresh)
+    /// y    = next + beta * (next - p)      (y = next when beta is None)
+    /// p    = next
+    /// ```
+    ///
+    /// and returns `(|next - p|^2, |p|^2)` over the *old* `p`, summed in
+    /// ascending bin order. The adjoint of each register tile of bins is
+    /// accumulated across all measurement rows and consumed on the spot,
+    /// so the operator planes stream through once and no full-grid
+    /// gradient is ever written.
+    ///
+    /// Every value is bit for bit what the unfused sequence
+    /// [`Ndft::adjoint_into`], gradient step, [`crate::ista::sparsify`],
+    /// `dist2`, `norm2` and extrapolation produces: the same operations
+    /// in the same order, no FMA. `SPARSIFY` skips `hypot` on bins that
+    /// a conservative squared-magnitude pre-test proves below the
+    /// threshold (see [`crate::ista::SoftThreshold`]).
+    pub(crate) fn fused_prox_step(
+        &self,
+        fy: &[Complex64],
+        g2: f64,
+        thresh: f64,
+        beta: Option<f64>,
+        p: &mut [Complex64],
+        y: &mut [Complex64],
+    ) -> (f64, f64) {
+        assert_eq!(
+            fy.len(),
+            self.freqs_hz.len(),
+            "fused step: measurement length mismatch"
+        );
+        assert!(
+            p.len() == self.grid.len && y.len() == self.grid.len,
+            "fused step: grid length mismatch"
+        );
+        let shrink = crate::ista::SoftThreshold::new(thresh);
+        let mut delta2 = 0.0f64;
+        let mut pnorm2 = 0.0f64;
+        self.adjoint_bins(fy, |k, gr, gi| {
+            let (yk, pk) = (y[k], p[k]);
+            let (nr, ni) = shrink.apply(yk.re - gr * g2, yk.im - gi * g2);
+            let (dr, di) = (nr - pk.re, ni - pk.im);
+            delta2 += dr * dr + di * di;
+            pnorm2 += pk.re * pk.re + pk.im * pk.im;
+            y[k] = match beta {
+                Some(b) => Complex64::new(nr + dr * b, ni + di * b),
+                None => Complex64::new(nr, ni),
+            };
+            p[k] = Complex64::new(nr, ni);
+        });
+        (delta2, pnorm2)
+    }
+
+    /// Drives the exact-tier adjoint `F* h` one register tile of bins at
+    /// a time and hands every bin's `(re, im)` to `emit` in ascending bin
+    /// order.
+    #[inline(always)]
+    fn adjoint_bins(&self, h: &[Complex64], mut emit: impl FnMut(usize, f64, f64)) {
+        let m = self.grid.len;
+        let main = m - m % TILE;
+        for c in (0..main).step_by(TILE) {
+            let (gr, gi) = self.adjoint_tile::<TILE>(c, h);
+            for l in 0..TILE {
+                emit(c + l, gr[l], gi[l]);
             }
         }
+        for k in main..m {
+            let (gr, gi) = self.adjoint_tile::<1>(k, h);
+            emit(k, gr[0], gi[0]);
+        }
+    }
+
+    /// `(F* h)[c..c + W]`, accumulated in registers over the rows in
+    /// ascending order, starting from `+0` as the historical
+    /// `out += conj(a) * h` row loop did.
+    ///
+    /// `conj(a) * h` is expanded without forming `conj(a)`:
+    /// `ar*hr - (-ai)*hi` is `ar*hr + ai*hi` and `ar*hi + (-ai)*hr` is
+    /// `ar*hi - ai*hr`, bit for bit, because `x - (-y) ≡ x + y` and
+    /// `(-x) * y ≡ -(x * y)` in IEEE-754.
+    ///
+    /// Kept out of line on purpose: as a standalone loop LLVM vectorizes
+    /// it across the tile's bins, with all `2 * TILE` accumulators in
+    /// registers. Inlined into a caller it pairs each bin's re/im
+    /// instead, which spills.
+    #[inline(never)]
+    fn adjoint_tile<const W: usize>(&self, c: usize, h: &[Complex64]) -> ([f64; W], [f64; W]) {
+        let m = self.grid.len;
+        let mut gr = [0.0f64; W];
+        let mut gi = [0.0f64; W];
+        for (i, hv) in h.iter().enumerate() {
+            let at = i * m + c;
+            let ar = &self.re[at..at + W];
+            let ai = &self.im[at..at + W];
+            for l in 0..W {
+                gr[l] += ar[l] * hv.re + ai[l] * hv.im;
+                gi[l] += ar[l] * hv.im - ai[l] * hv.re;
+            }
+        }
+        (gr, gi)
     }
 
     /// Matched-filter (Bartlett) response at an arbitrary, off-grid delay:
@@ -290,8 +391,8 @@ impl Ndft {
             if *br == 0.0 && *bi == 0.0 {
                 continue;
             }
-            let col_re = &self.split.mat_t_re[k * n..(k + 1) * n];
-            let col_im = &self.split.mat_t_im[k * n..(k + 1) * n];
+            let col_re = &self.mat_t_re[k * n..(k + 1) * n];
+            let col_im = &self.mat_t_im[k * n..(k + 1) * n];
             axpy_complex_split(col_re, col_im, *br, *bi, out_re, out_im);
         }
     }
@@ -361,8 +462,8 @@ impl Ndft {
             if yr == 0.0 && yi == 0.0 {
                 continue;
             }
-            let col_re = &self.split.mat_t_re[k * n..(k + 1) * n];
-            let col_im = &self.split.mat_t_im[k * n..(k + 1) * n];
+            let col_re = &self.mat_t_re[k * n..(k + 1) * n];
+            let col_im = &self.mat_t_im[k * n..(k + 1) * n];
             axpy_complex_split(col_re, col_im, yr, yi, out_re, out_im);
         }
     }
@@ -445,8 +546,8 @@ impl Ndft {
             for i in 0..n {
                 let hr = fy_re[i];
                 let hi = fy_im[i];
-                let row_re = &self.split.mat_re[i * m + c..i * m + c + TILE];
-                let row_im = &self.split.mat_im[i * m + c..i * m + c + TILE];
+                let row_re = &self.re[i * m + c..i * m + c + TILE];
+                let row_im = &self.im[i * m + c..i * m + c + TILE];
                 for l in 0..TILE {
                     gr[l] = fmadd(row_re[l], hr, fmadd(row_im[l], hi, gr[l]));
                     gi[l] = fmadd(row_re[l], hi, fmadd(-row_im[l], hr, gi[l]));
@@ -471,8 +572,8 @@ impl Ndft {
             let mut gr = 0.0f64;
             let mut gi_acc = 0.0f64;
             for i in 0..n {
-                let ar = self.split.mat_re[i * m + k];
-                let ai = self.split.mat_im[i * m + k];
+                let ar = self.re[i * m + k];
+                let ai = self.im[i * m + k];
                 gr = fmadd(ar, fy_re[i], fmadd(ai, fy_im[i], gr));
                 gi_acc = fmadd(ar, fy_im[i], fmadd(-ai, fy_re[i], gi_acc));
             }
@@ -545,8 +646,8 @@ impl Ndft {
         out_im.clear();
         out_im.resize(m, 0.0);
         for (i, (hr, hi)) in h_re.iter().zip(h_im.iter()).enumerate() {
-            let row_re = &self.split.mat_re[i * m..(i + 1) * m];
-            let row_im = &self.split.mat_im[i * m..(i + 1) * m];
+            let row_re = &self.re[i * m..(i + 1) * m];
+            let row_im = &self.im[i * m..(i + 1) * m];
             // conj(a) * h = (a_re*h_re + a_im*h_im) + j(a_re*h_im - a_im*h_re)
             axpy_conj_split(row_re, row_im, *hr, *hi, out_re, out_im);
         }
@@ -620,6 +721,14 @@ mod tests {
 
     fn freqs() -> Vec<f64> {
         band_plan_5ghz().iter().map(|b| b.center_hz).collect()
+    }
+
+    impl Ndft {
+        /// `F[i][k]` reassembled from the split planes.
+        fn entry(&self, i: usize, k: usize) -> Complex64 {
+            let at = i * self.grid.len + k;
+            Complex64::new(self.re[at], self.im[at])
+        }
     }
 
     #[test]
@@ -721,7 +830,7 @@ mod tests {
         for (i, out) in fast.iter().enumerate() {
             let mut dense = Complex64::ZERO;
             for (k, pk) in p.iter().enumerate() {
-                dense += ndft.mat[i * grid.len + k] * *pk;
+                dense += ndft.entry(i, k) * *pk;
             }
             assert_eq!(out.re.to_bits(), dense.re.to_bits(), "row {i}");
             assert_eq!(out.im.to_bits(), dense.im.to_bits(), "row {i}");
@@ -736,6 +845,31 @@ mod tests {
         let mut adj = Vec::new();
         ndft.adjoint_into(&h, &mut adj);
         assert_eq!(adj, ndft.adjoint(&h));
+    }
+
+    #[test]
+    fn tiled_adjoint_matches_conj_row_loop_bitwise() {
+        // The register-tiled adjoint (used by `adjoint_into` and the fused
+        // FISTA step) against the literal historical row loop
+        // `out += conj(a) * h`, on a grid whose length is not a multiple
+        // of the tile so the tail path runs too.
+        let f = freqs();
+        let grid = TauGrid::span(50.25, 0.25);
+        assert_ne!(grid.len % TILE, 0);
+        let ndft = Ndft::new(&f, grid);
+        let h: Vec<Complex64> = (0..f.len())
+            .map(|i| Complex64::from_polar(1.0 + 0.1 * i as f64, 0.7 * i as f64))
+            .collect();
+        let mut want = vec![Complex64::ZERO; grid.len];
+        for (i, hi) in h.iter().enumerate() {
+            for (k, o) in want.iter_mut().enumerate() {
+                *o += ndft.entry(i, k).conj() * *hi;
+            }
+        }
+        for (k, (a, b)) in ndft.adjoint(&h).iter().zip(want.iter()).enumerate() {
+            assert_eq!(a.re.to_bits(), b.re.to_bits(), "bin {k}");
+            assert_eq!(a.im.to_bits(), b.im.to_bits(), "bin {k}");
+        }
     }
 
     #[test]
