@@ -1,25 +1,25 @@
 //! The sweep-pipeline throughput benchmark and its CI regression gate.
 //!
 //! ```sh
-//! # Regenerate the checked-in baseline (CI gates a --quick run with the
-//! # simd feature, so the baseline must match both — parameter
-//! # mismatches fail the gate explicitly):
-//! cargo run --release -p chronos-bench --bin bench_throughput \
-//!     --features chronos-core/simd -- --quick
+//! # Regenerate the checked-in baseline (CI gates a --quick run, so the
+//! # baseline must be one too — parameter mismatches fail the gate
+//! # explicitly):
+//! cargo run --release -p chronos-bench --bin bench_throughput -- --quick
 //!
 //! # Gate mode (what scripts/check-bench-regression.sh runs in CI):
-//! cargo run --release -p chronos-bench --bin bench_throughput \
-//!     --features chronos-core/simd -- \
+//! cargo run --release -p chronos-bench --bin bench_throughput -- \
 //!     --quick --check BENCH_throughput.json --tolerance 0.20
 //! ```
 //!
 //! Shared flags (`--quick/--out/--check/--tolerance`) are parsed by
 //! [`chronos_bench::cli::BenchArgs`]. The gate covers the portable
 //! metrics only: `speedup_x` (pipeline vs the transcribed pre-refactor
-//! solver; >20% regression or falling below the absolute 3.0× floor
-//! fails) and `allocs_per_sweep` (any increase fails — including the
-//! worker-side counters on the persistent-pool rows). Absolute sweeps/s
-//! columns are informational — they depend on the host.
+//! solver, the median of paired per-solve CPU-time ratios; >20%
+//! regression or falling below the absolute 3.0× floor fails) and
+//! `allocs_per_sweep` (any increase fails — including the worker-side
+//! counters on the persistent-pool rows). Absolute sweeps/s columns, the
+//! ratio's quartiles and `host_cores` are informational — they depend on
+//! the host.
 
 use chronos_bench::alloc_count::CountingAlloc;
 use chronos_bench::cli::BenchArgs;

@@ -11,6 +11,7 @@
 pub mod adversarial;
 pub mod alloc_count;
 pub mod cli;
+mod cpu_time;
 pub mod figures;
 pub mod fleet;
 pub mod position;

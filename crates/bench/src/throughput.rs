@@ -10,10 +10,11 @@
 //!   iteration. This is the recorded pre-refactor baseline the pipeline
 //!   must beat.
 //! * `solver_pipeline` — [`chronos_core::ista::solve_planned_into`] over
-//!   a warm scratch (sparse-aware forward, ping-pong buffers; the
-//!   lane-chunked SoA kernels when the `simd` feature is on). Its
-//!   `speedup_x` against the reference is the headline acceptance
-//!   metric (must stay ≥ 3.0×).
+//!   a warm scratch (sparse-aware forward, one fused grid pass per
+//!   iteration). Its `speedup_x` against the reference is the headline
+//!   acceptance metric (must stay ≥ 3.0×): the median of per-pair
+//!   thread-CPU-time ratios, with its quartiles in `speedup_q1` and
+//!   `speedup_q3`.
 //! * `fix_estimate` / `fix_pipeline` — the end-to-end products → ToF
 //!   path through the allocating API vs a warm
 //!   [`chronos_core::pipeline::SweepPipeline`]; the pipeline row must
@@ -29,13 +30,15 @@
 //! Wall-clock rates are hardware-dependent, so the regression gate
 //! ([`check_throughput_regression`]) gates the *ratios* (`speedup_x`)
 //! and the deterministic `allocs_per_sweep` counters; absolute
-//! `sweeps_per_sec` columns are informational.
+//! `sweeps_per_sec` columns, the quartiles and `host_cores` are
+//! informational.
 //!
 //! Allocation counters only advance when the running binary installs
 //! [`crate::alloc_count::CountingAlloc`] as its global allocator (the
 //! `bench_throughput` binary does).
 
 use crate::alloc_count::thread_allocations;
+use crate::cpu_time::thread_cpu_s;
 use crate::report::Table;
 use chronos_core::config::ChronosConfig;
 use chronos_core::ista::{solve_planned_into, sparsify, IstaConfig, IstaScratch};
@@ -47,6 +50,7 @@ use chronos_core::runtime::{PoolJob, WorkerRuntime};
 use chronos_core::tof::{genie_product, TofEstimator, TofFix};
 use chronos_math::constants::m_to_ns;
 use chronos_math::cvec;
+use chronos_math::stats::percentile_inplace;
 use chronos_math::Complex64;
 use chronos_rf::bands::band_plan_5ghz;
 use chronos_rf::subset::select_subset;
@@ -60,15 +64,14 @@ pub const N_CLIENTS: usize = 8;
 /// TRACK-mode subset size (the ambiguity knee, see `docs/TRACKING.md`).
 pub const SUBSET_BANDS: usize = 12;
 
-/// The headline acceptance floor: the scratch solver must deliver at
-/// least this many times the pre-refactor reference's sweeps/s.
-/// Re-baselined from 1.2× when the lane-chunked SoA kernels landed
-/// (the gate runs with `--features simd`; the scalar tier keeps the
-/// exact bitwise contract instead of the throughput floor).
+/// The headline acceptance floor: the scratch solver must be at least
+/// this many times faster than the pre-refactor reference, as the median
+/// of paired per-solve CPU-time ratios. The same solver is also held to
+/// the bitwise contract of the historical loop.
 pub const MIN_SOLVER_SPEEDUP: f64 = 3.0;
 
 /// Headers of the `BENCH_throughput` table, in column order.
-pub const THROUGHPUT_HEADERS: [&str; 7] = [
+pub const THROUGHPUT_HEADERS: [&str; 10] = [
     "case",
     "rounds",
     "clients",
@@ -76,6 +79,9 @@ pub const THROUGHPUT_HEADERS: [&str; 7] = [
     "sweeps_per_sec",
     "allocs_per_sweep",
     "speedup_x",
+    "speedup_q1",
+    "speedup_q3",
+    "host_cores",
 ];
 
 /// One client's deterministic path set: direct path at the engine
@@ -196,7 +202,8 @@ pub struct ThroughputCase {
     /// Total concurrency of the case (1 for the inline rows; worker
     /// threads + the helping submitter for the pool rows).
     pub workers: usize,
-    /// Completed estimation sweeps per second of wall time.
+    /// Completed estimation sweeps per second: of wall time, except on
+    /// the two solver rows, which count the solving thread's CPU time.
     pub sweeps_per_sec: f64,
     /// Allocation events per sweep (counting allocator; 0 when the
     /// binary does not install it). Pool rows count worker-side events
@@ -204,6 +211,9 @@ pub struct ThroughputCase {
     pub allocs_per_sweep: f64,
     /// Rate relative to this case's baseline counterpart, if any.
     pub speedup_x: Option<f64>,
+    /// First and third quartile of the per-pair ratios behind
+    /// `speedup_x`, when it is a median of pairs.
+    pub speedup_quartiles: Option<(f64, f64)>,
 }
 
 /// A steady-state fix estimation submitted to the persistent pool: the
@@ -270,28 +280,17 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
 
     // The reference must agree with the pipeline solver on every client
     // channel — the baseline is only meaningful if it computes the same
-    // solution. On the scalar tier this is value equality (the
-    // sparse-aware forward skips exact zeros, which can flip a zero's
-    // sign but never a value); the SIMD tier reassociates lane sums, so
-    // it is held to the tolerance contract instead (see docs/PIPELINE.md).
+    // solution. Agreement is value equality: the sparse-aware forward
+    // skips exact zeros, which can flip a zero's sign but never a value.
     for h in &track_channels {
         let want = reference.solve(h, &ista_cfg, plan.op_norm);
         solve_planned_into(&plan, h, &ista_cfg, &mut scratch);
         assert_eq!(want.len(), scratch.solution().len());
-        let peak = want.iter().map(|c| c.abs()).fold(0.0f64, f64::max);
         for (a, b) in want.iter().zip(scratch.solution().iter()) {
-            if chronos_core::simd_enabled() {
-                let drift = (*a - *b).abs();
-                assert!(
-                    drift <= 1e-6 * peak.max(1e-12),
-                    "simd solver drifted from reference: {a} vs {b} (drift {drift:.3e})"
-                );
-            } else {
-                assert!(
-                    a.re == b.re && a.im == b.im,
-                    "reference diverged from pipeline solver: {a} vs {b}"
-                );
-            }
+            assert!(
+                a.re == b.re && a.im == b.im,
+                "reference diverged from pipeline solver: {a} vs {b}"
+            );
         }
     }
 
@@ -300,47 +299,52 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
 
     // 1 + 2. Pre-refactor solver baseline (dense operator, per-iteration
     // Vecs) vs the warm scratch solver, measured *paired*: the two
-    // solvers alternate call-by-call over the same channels, and each
-    // (solver, client) pair keeps its *minimum* time over the rounds.
-    // Pairing puts bursty host contention (shared CI runners, noisy
-    // neighbors) on both sides of the ratio instead of whichever case
-    // happened to be in its timing window; the per-pair minimum then
-    // discards the bursts a single call absorbed outright, since a
-    // burst can't make a deterministic solve *faster*. The headline
-    // `speedup_x` stays stable even when the absolute sweeps/s columns
-    // (also reported from the minima) wobble with load.
-    let mut t_ref_min = [f64::INFINITY; N_CLIENTS];
-    let mut t_pipe_min = [f64::INFINITY; N_CLIENTS];
+    // solvers alternate call-by-call over the same channels, each call
+    // is timed on the thread's CPU clock, and every pair gives one
+    // reference/pipeline ratio. The CPU clock leaves out the time other
+    // processes take the core away, and pairing puts the cache and
+    // frequency effects they leave behind on both sides of a ratio; the
+    // median of the ratios then drops the pairs a burst still hit. The
+    // quartiles are written next to it so the spread stays visible.
+    let mut ratios = Vec::with_capacity(sweeps);
+    let (mut ref_cpu_s, mut pipe_cpu_s) = (0.0f64, 0.0f64);
     let mut ref_alloc_events = 0u64;
     let paired_a0 = thread_allocations();
     for i in 0..sweeps {
-        let c = i % N_CLIENTS;
-        let h = &track_channels[c];
+        let h = &track_channels[i % N_CLIENTS];
         let a0 = thread_allocations();
-        let t0 = Instant::now();
+        let t0 = thread_cpu_s();
         std::hint::black_box(reference.solve(h, &ista_cfg, plan.op_norm));
-        t_ref_min[c] = t_ref_min[c].min(t0.elapsed().as_secs_f64());
+        let t_ref = thread_cpu_s() - t0;
         ref_alloc_events += thread_allocations() - a0;
-        let t1 = Instant::now();
+        let t1 = thread_cpu_s();
         std::hint::black_box(solve_planned_into(&plan, h, &ista_cfg, &mut scratch));
-        t_pipe_min[c] = t_pipe_min[c].min(t1.elapsed().as_secs_f64());
+        let t_pipe = thread_cpu_s() - t1;
+        ratios.push(t_ref / t_pipe.max(1e-9));
+        ref_cpu_s += t_ref;
+        pipe_cpu_s += t_pipe;
     }
     let pipe_alloc_events = thread_allocations() - paired_a0 - ref_alloc_events;
-    let ref_rate = N_CLIENTS as f64 / t_ref_min.iter().sum::<f64>().max(1e-9);
-    let pipe_rate = N_CLIENTS as f64 / t_pipe_min.iter().sum::<f64>().max(1e-9);
+    let speedup = percentile_inplace(&mut ratios, 50.0);
+    let quartiles = (
+        percentile_inplace(&mut ratios, 25.0),
+        percentile_inplace(&mut ratios, 75.0),
+    );
     cases.push(ThroughputCase {
         name: "solver_reference",
         workers: 1,
-        sweeps_per_sec: ref_rate,
+        sweeps_per_sec: sweeps as f64 / ref_cpu_s.max(1e-9),
         allocs_per_sweep: ref_alloc_events as f64 / sweeps as f64,
         speedup_x: None,
+        speedup_quartiles: None,
     });
     cases.push(ThroughputCase {
         name: "solver_pipeline",
         workers: 1,
-        sweeps_per_sec: pipe_rate,
+        sweeps_per_sec: sweeps as f64 / pipe_cpu_s.max(1e-9),
         allocs_per_sweep: pipe_alloc_events as f64 / sweeps as f64,
-        speedup_x: Some(pipe_rate / ref_rate),
+        speedup_x: Some(speedup),
+        speedup_quartiles: Some(quartiles),
     });
 
     // 3. End-to-end products → estimate through the allocating API (a
@@ -355,6 +359,7 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
         sweeps_per_sec: est_rate,
         allocs_per_sweep: est_allocs,
         speedup_x: None,
+        speedup_quartiles: None,
     });
 
     // 4. End-to-end products → fix through a warm pipeline: the
@@ -376,6 +381,7 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
         sweeps_per_sec: fix_rate,
         allocs_per_sweep: fix_allocs,
         speedup_x: None,
+        speedup_quartiles: None,
     });
 
     // 5. ACQUIRE full-plan sweeps through the same warm pipeline (the
@@ -394,6 +400,7 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
         sweeps_per_sec: acq_rate,
         allocs_per_sweep: acq_allocs,
         speedup_x: None,
+        speedup_quartiles: None,
     });
 
     // 6. Persistent worker pool. Spin-up (thread spawns + ring) is paid
@@ -417,6 +424,7 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
         sweeps_per_sec: 1.0 / spinup_dt.max(1e-9), // spin-ups (not sweeps) per second
         allocs_per_sweep: (thread_allocations() - a0) as f64,
         speedup_x: None,
+        speedup_quartiles: None,
     });
     let pool_w2 = WorkerRuntime::new(1); // 1 worker + helping submitter
 
@@ -471,6 +479,7 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
             sweeps_per_sec: rate,
             allocs_per_sweep: allocs,
             speedup_x: None,
+            speedup_quartiles: None,
         });
     }
 
@@ -480,6 +489,8 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
 /// Runs the benchmark and tabulates the regression metrics (the
 /// `BENCH_throughput.json` payload).
 pub fn throughput_table(rounds: usize) -> Table {
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let ratio = |x: Option<f64>| x.map(|s| format!("{s:.3}")).unwrap_or_default();
     let mut table = Table::new("BENCH_throughput", &THROUGHPUT_HEADERS);
     for case in throughput_cases(rounds) {
         table.row(&[
@@ -489,9 +500,10 @@ pub fn throughput_table(rounds: usize) -> Table {
             format!("{}", case.workers),
             format!("{:.1}", case.sweeps_per_sec),
             format!("{:.1}", case.allocs_per_sweep),
-            case.speedup_x
-                .map(|s| format!("{s:.3}"))
-                .unwrap_or_default(),
+            ratio(case.speedup_x),
+            ratio(case.speedup_quartiles.map(|q| q.0)),
+            ratio(case.speedup_quartiles.map(|q| q.1)),
+            format!("{host_cores}"),
         ]);
     }
     table
@@ -578,6 +590,9 @@ mod tests {
             "100.0".into(),
             "1600.0".into(),
             String::new(),
+            String::new(),
+            String::new(),
+            "2".into(),
         ]);
         t.row(&[
             "solver_pipeline".into(),
@@ -587,6 +602,9 @@ mod tests {
             "340.0".into(),
             format!("{allocs:.1}"),
             format!("{speedup:.3}"),
+            format!("{:.3}", speedup * 0.9),
+            format!("{:.3}", speedup * 1.1),
+            "2".into(),
         ]);
         t
     }

@@ -115,12 +115,11 @@ pub mod session;
 pub mod tof;
 pub mod tracker;
 
-/// Whether this build vectorizes the NDFT/FISTA hot path (the `simd`
-/// cargo feature, tolerance tier). `false` means the scalar exact tier:
-/// bitwise-reproducible against the PR-5 contract. Benches and tests
-/// branch on this instead of re-plumbing the feature flag.
+/// Always `false`: the NDFT/FISTA path has one build, bitwise
+/// reproducible against the historical solver loop. Kept because the
+/// ranging benchmark prints it as the build tier (`scalar`).
 pub const fn simd_enabled() -> bool {
-    cfg!(feature = "simd")
+    false
 }
 
 pub use config::{ChronosConfig, IngestionConfig, QuirkMode};

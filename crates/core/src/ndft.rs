@@ -74,16 +74,9 @@ pub struct Ndft {
     /// sparse profile while streaming memory linearly. Same entries as
     /// the planes, copied at construction.
     mat_t: Vec<Complex64>,
-    /// Split re/im planes of `mat_t` for the lane-chunked forward
-    /// kernels of the `simd` feature. Same entries, copied at
-    /// construction.
-    #[cfg(feature = "simd")]
-    mat_t_re: Vec<f64>,
-    #[cfg(feature = "simd")]
-    mat_t_im: Vec<f64>,
 }
 
-/// Grid bins per register tile of the exact-tier adjoint kernels.
+/// Grid bins per register tile of the adjoint kernels.
 const TILE: usize = 8;
 
 impl Ndft {
@@ -118,10 +111,6 @@ impl Ndft {
             grid,
             re,
             im,
-            #[cfg(feature = "simd")]
-            mat_t_re: mat_t.iter().map(|z| z.re).collect(),
-            #[cfg(feature = "simd")]
-            mat_t_im: mat_t.iter().map(|z| z.im).collect(),
             mat_t,
         }
     }
@@ -204,8 +193,8 @@ impl Ndft {
         self.adjoint_bins(h, |k, gr, gi| out[k] = Complex64::new(gr, gi));
     }
 
-    /// One exact-tier FISTA iteration over the whole grid in a single
-    /// pass. With `fy = F y - h` already formed, it computes per bin
+    /// One FISTA iteration over the whole grid in a single pass. With
+    /// `fy = F y - h` already formed, it computes per bin
     ///
     /// ```text
     /// next = SPARSIFY(y - g2 * (F* fy), thresh)
@@ -261,9 +250,8 @@ impl Ndft {
         (delta2, pnorm2)
     }
 
-    /// Drives the exact-tier adjoint `F* h` one register tile of bins at
-    /// a time and hands every bin's `(re, im)` to `emit` in ascending bin
-    /// order.
+    /// Drives the adjoint `F* h` one register tile of bins at a time and
+    /// hands every bin's `(re, im)` to `emit` in ascending bin order.
     #[inline(always)]
     fn adjoint_bins(&self, h: &[Complex64], mut emit: impl FnMut(usize, f64, f64)) {
         let m = self.grid.len;
@@ -347,370 +335,6 @@ impl Ndft {
         }
         // norm approximates the largest eigenvalue of F*F = ||F||^2.
         norm.sqrt()
-    }
-}
-
-/// The lane-chunked structure-of-arrays kernels of the `simd` feature:
-/// the same forward/adjoint operators over split re/im planes, written
-/// so LLVM vectorizes them into packed f64 arithmetic. The scalar
-/// [`Ndft::forward_into`]/[`Ndft::adjoint_into`] above remain the single
-/// source of truth; these belong to the tolerance tier (agreement within
-/// 1e-12 relative, pinned by proptests in `tests/properties.rs`).
-#[cfg(feature = "simd")]
-impl Ndft {
-    /// [`Ndft::forward_into`] over split re/im slices: `h = F p` with
-    /// the same zero-column skipping (an entry is skipped only when both
-    /// planes are exactly zero, matching the scalar predicate).
-    ///
-    /// The output rows are few (`n` = band count, ~12) but every
-    /// surviving column update is an independent 4-lane axpy, so the
-    /// whole pass is `n_nnz` packed complex multiply-accumulates.
-    pub fn forward_split_into(
-        &self,
-        p_re: &[f64],
-        p_im: &[f64],
-        out_re: &mut Vec<f64>,
-        out_im: &mut Vec<f64>,
-    ) {
-        assert_eq!(
-            p_re.len(),
-            self.grid.len,
-            "forward: profile length mismatch"
-        );
-        assert_eq!(
-            p_im.len(),
-            self.grid.len,
-            "forward: profile length mismatch"
-        );
-        let n = self.freqs_hz.len();
-        out_re.clear();
-        out_re.resize(n, 0.0);
-        out_im.clear();
-        out_im.resize(n, 0.0);
-        for (k, (br, bi)) in p_re.iter().zip(p_im.iter()).enumerate() {
-            if *br == 0.0 && *bi == 0.0 {
-                continue;
-            }
-            let col_re = &self.mat_t_re[k * n..(k + 1) * n];
-            let col_im = &self.mat_t_im[k * n..(k + 1) * n];
-            axpy_complex_split(col_re, col_im, *br, *bi, out_re, out_im);
-        }
-    }
-
-    /// Support-restricted forward transform with on-the-fly FISTA
-    /// extrapolation: `h = F y` where
-    /// `y = p + beta * (p - prev)` is never materialized.
-    ///
-    /// `supp_p`/`supp_prev` are the ascending nonzero index lists of the
-    /// two iterates (collected for free by
-    /// [`Ndft::fused_prox_step_split`]); `y` can only be nonzero on
-    /// their merge, so the full-grid zero scan of
-    /// [`Ndft::forward_split_into`] disappears — the pass is
-    /// `nnz` contiguous 12-wide axpys and nothing else.
-    #[allow(clippy::too_many_arguments)]
-    pub fn forward_extrapolated_split(
-        &self,
-        p_re: &[f64],
-        p_im: &[f64],
-        prev_re: &[f64],
-        prev_im: &[f64],
-        beta: f64,
-        supp_p: &[u32],
-        supp_prev: &[u32],
-        out_re: &mut Vec<f64>,
-        out_im: &mut Vec<f64>,
-    ) {
-        use chronos_math::lanes::fmadd;
-        let m = self.grid.len;
-        assert!(
-            p_re.len() == m && p_im.len() == m && prev_re.len() == m && prev_im.len() == m,
-            "forward: profile length mismatch"
-        );
-        let n = self.freqs_hz.len();
-        out_re.clear();
-        out_re.resize(n, 0.0);
-        out_im.clear();
-        out_im.resize(n, 0.0);
-        // Two-pointer merge of the sorted support lists.
-        let (mut a, mut b) = (0usize, 0usize);
-        loop {
-            let k = match (supp_p.get(a), supp_prev.get(b)) {
-                (Some(&x), Some(&y)) => {
-                    if x <= y {
-                        a += 1;
-                        if x == y {
-                            b += 1;
-                        }
-                        x
-                    } else {
-                        b += 1;
-                        y
-                    }
-                }
-                (Some(&x), None) => {
-                    a += 1;
-                    x
-                }
-                (None, Some(&y)) => {
-                    b += 1;
-                    y
-                }
-                (None, None) => break,
-            } as usize;
-            let yr = fmadd(beta, p_re[k] - prev_re[k], p_re[k]);
-            let yi = fmadd(beta, p_im[k] - prev_im[k], p_im[k]);
-            if yr == 0.0 && yi == 0.0 {
-                continue;
-            }
-            let col_re = &self.mat_t_re[k * n..(k + 1) * n];
-            let col_im = &self.mat_t_im[k * n..(k + 1) * n];
-            axpy_complex_split(col_re, col_im, yr, yi, out_re, out_im);
-        }
-    }
-
-    /// The fused proximal-gradient step over split planes: one pass over
-    /// the grid computing
-    /// `next = soft_thresh((p + beta (p - prev)) - g2 * F* fy)` plus the
-    /// convergence sums, returning `(|next - p|_2^2, |p|_2^2)`. The
-    /// FISTA extrapolation point `y` is computed in registers from the
-    /// two iterates (`beta = 0` degrades to plain ISTA), and the
-    /// ascending nonzero index list of `next` is pushed into `supp_next`
-    /// so the next iteration's forward pass
-    /// ([`Ndft::forward_extrapolated_split`]) touches only the support.
-    ///
-    /// This is the solver's dominant kernel. Fusing the adjoint GEMV
-    /// with the extrapolation, gradient step, SPARSIFY and both
-    /// reductions keeps each grid tile in registers for the whole
-    /// iteration body: the operator planes stream through once and
-    /// `next` is written once, instead of the adjoint
-    /// re-reading/re-writing a full-grid gradient buffer per measurement
-    /// row and the elementwise ops making four more passes. The work is
-    /// split into two passes: pass A is branchless and free of
-    /// `sqrt`/divide (the below-threshold zeroing compares *squared*
-    /// magnitudes, cached in the caller-provided `sq` scratch plane), so
-    /// it vectorizes end to end; pass B applies the shrink scale only to
-    /// the handful of bins that survived the threshold and harvests the
-    /// support with a predictable scalar branch.
-    ///
-    /// Reductions are lane-reassociated and the shrink magnitude uses
-    /// `sqrt` instead of the scalar tier's `hypot`, so this kernel
-    /// belongs to the tolerance tier (see `docs/PIPELINE.md`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn fused_prox_step_split(
-        &self,
-        fy_re: &[f64],
-        fy_im: &[f64],
-        p_re: &[f64],
-        p_im: &[f64],
-        prev_re: &[f64],
-        prev_im: &[f64],
-        beta: f64,
-        g2: f64,
-        thresh: f64,
-        next_re: &mut [f64],
-        next_im: &mut [f64],
-        sq: &mut [f64],
-        supp_next: &mut Vec<u32>,
-    ) -> (f64, f64) {
-        use chronos_math::lanes::{fmadd, LANES};
-        const TILE: usize = 2 * LANES;
-        let n = self.freqs_hz.len();
-        let m = self.grid.len;
-        assert_eq!(fy_re.len(), n, "fused step: measurement length mismatch");
-        assert_eq!(fy_im.len(), n, "fused step: measurement length mismatch");
-        assert!(
-            p_re.len() == m
-                && p_im.len() == m
-                && prev_re.len() == m
-                && prev_im.len() == m
-                && next_re.len() == m
-                && next_im.len() == m,
-            "fused step: grid length mismatch"
-        );
-        assert_eq!(sq.len(), m, "fused step: sq scratch length mismatch");
-        supp_next.clear();
-        let t2 = thresh * thresh;
-        let mut pnorm = [0.0f64; TILE];
-        let main = m - m % TILE;
-        // Pass A — branchless and sqrt/div-free, so it vectorizes end to
-        // end: adjoint GEMV tile, extrapolation, gradient step, the
-        // below-threshold zeroing (a select against the *squared*
-        // threshold) and the |p|^2 reduction. Candidate magnitudes land
-        // in `sq`, surviving candidates stay un-shrunk in `next` for
-        // pass B.
-        for c in (0..main).step_by(TILE) {
-            // Adjoint tile: grad[c..c+TILE] = sum_i conj(F[i]) * fy_i,
-            // accumulated in registers across all measurement rows.
-            let mut gr = [0.0f64; TILE];
-            let mut gi = [0.0f64; TILE];
-            for i in 0..n {
-                let hr = fy_re[i];
-                let hi = fy_im[i];
-                let row_re = &self.re[i * m + c..i * m + c + TILE];
-                let row_im = &self.im[i * m + c..i * m + c + TILE];
-                for l in 0..TILE {
-                    gr[l] = fmadd(row_re[l], hr, fmadd(row_im[l], hi, gr[l]));
-                    gi[l] = fmadd(row_re[l], hi, fmadd(-row_im[l], hr, gi[l]));
-                }
-            }
-            for l in 0..TILE {
-                let k = c + l;
-                let yr = fmadd(beta, p_re[k] - prev_re[k], p_re[k]);
-                let yi = fmadd(beta, p_im[k] - prev_im[k], p_im[k]);
-                let cr = yr - g2 * gr[l];
-                let ci = yi - g2 * gi[l];
-                let sq_v = fmadd(cr, cr, ci * ci);
-                sq[k] = sq_v;
-                let keep = sq_v > t2;
-                next_re[k] = if keep { cr } else { 0.0 };
-                next_im[k] = if keep { ci } else { 0.0 };
-                pnorm[l] = fmadd(p_re[k], p_re[k], fmadd(p_im[k], p_im[k], pnorm[l]));
-            }
-        }
-        let mut pnorm_tail = 0.0f64;
-        for k in main..m {
-            let mut gr = 0.0f64;
-            let mut gi_acc = 0.0f64;
-            for i in 0..n {
-                let ar = self.re[i * m + k];
-                let ai = self.im[i * m + k];
-                gr = fmadd(ar, fy_re[i], fmadd(ai, fy_im[i], gr));
-                gi_acc = fmadd(ar, fy_im[i], fmadd(-ai, fy_re[i], gi_acc));
-            }
-            let yr = fmadd(beta, p_re[k] - prev_re[k], p_re[k]);
-            let yi = fmadd(beta, p_im[k] - prev_im[k], p_im[k]);
-            let cr = yr - g2 * gr;
-            let ci = yi - g2 * gi_acc;
-            let sq_v = fmadd(cr, cr, ci * ci);
-            sq[k] = sq_v;
-            let keep = sq_v > t2;
-            next_re[k] = if keep { cr } else { 0.0 };
-            next_im[k] = if keep { ci } else { 0.0 };
-            pnorm_tail = fmadd(p_re[k], p_re[k], fmadd(p_im[k], p_im[k], pnorm_tail));
-        }
-        let pnorm2 = pnorm.iter().sum::<f64>() + pnorm_tail;
-        // Pass B — the expensive shrink (sqrt + divide) runs only on the
-        // few dozen candidates that survived the threshold, while the
-        // support harvest scans the cached squared magnitudes with a
-        // predictable branch. The delta reduction is computed as a
-        // correction on |p|^2: a zeroed bin contributes |p_k|^2 to
-        // |next - p|^2 exactly, so only surviving bins need their
-        // |next_k - p_k|^2 - |p_k|^2 adjustment.
-        let mut delta2 = pnorm2;
-        for k in 0..m {
-            let sq_v = sq[k];
-            if sq_v <= t2 {
-                continue;
-            }
-            supp_next.push(k as u32);
-            let mag = sq_v.sqrt();
-            let s = ((mag - thresh) / mag).max(0.0);
-            let nr = next_re[k] * s;
-            let ni = next_im[k] * s;
-            next_re[k] = nr;
-            next_im[k] = ni;
-            let dr = nr - p_re[k];
-            let di = ni - p_im[k];
-            delta2 += fmadd(dr, dr, di * di) - fmadd(p_re[k], p_re[k], p_im[k] * p_im[k]);
-        }
-        // Cancellation in the correction can drive a tiny positive sum
-        // fractionally negative; clamp so the caller's sqrt stays real.
-        (delta2.max(0.0), pnorm2)
-    }
-
-    /// [`Ndft::adjoint_into`] over split re/im slices: `p = F* h`.
-    ///
-    /// This is the dense dominant kernel of the solver (`n x m` complex
-    /// MACs per FISTA iteration); each row contributes a conjugated
-    /// 4-lane axpy across the full grid.
-    pub fn adjoint_split_into(
-        &self,
-        h_re: &[f64],
-        h_im: &[f64],
-        out_re: &mut Vec<f64>,
-        out_im: &mut Vec<f64>,
-    ) {
-        assert_eq!(
-            h_re.len(),
-            self.freqs_hz.len(),
-            "adjoint: measurement length mismatch"
-        );
-        assert_eq!(
-            h_im.len(),
-            self.freqs_hz.len(),
-            "adjoint: measurement length mismatch"
-        );
-        let m = self.grid.len;
-        out_re.clear();
-        out_re.resize(m, 0.0);
-        out_im.clear();
-        out_im.resize(m, 0.0);
-        for (i, (hr, hi)) in h_re.iter().zip(h_im.iter()).enumerate() {
-            let row_re = &self.re[i * m..(i + 1) * m];
-            let row_im = &self.im[i * m..(i + 1) * m];
-            // conj(a) * h = (a_re*h_re + a_im*h_im) + j(a_re*h_im - a_im*h_re)
-            axpy_conj_split(row_re, row_im, *hr, *hi, out_re, out_im);
-        }
-    }
-}
-
-/// `out += a * b` over split planes for a complex scalar `b`
-/// (`(br, bi)`), 4 lanes at a time.
-#[cfg(feature = "simd")]
-fn axpy_complex_split(
-    a_re: &[f64],
-    a_im: &[f64],
-    br: f64,
-    bi: f64,
-    out_re: &mut [f64],
-    out_im: &mut [f64],
-) {
-    use chronos_math::lanes::{fmadd, LANES};
-    let n = a_re.len();
-    let main = n - n % LANES;
-    for c in (0..main).step_by(LANES) {
-        for l in 0..LANES {
-            let ar = a_re[c + l];
-            let ai = a_im[c + l];
-            out_re[c + l] = fmadd(ar, br, fmadd(-ai, bi, out_re[c + l]));
-            out_im[c + l] = fmadd(ar, bi, fmadd(ai, br, out_im[c + l]));
-        }
-    }
-    for k in main..n {
-        let ar = a_re[k];
-        let ai = a_im[k];
-        out_re[k] = fmadd(ar, br, fmadd(-ai, bi, out_re[k]));
-        out_im[k] = fmadd(ar, bi, fmadd(ai, br, out_im[k]));
-    }
-}
-
-/// `out += conj(a) * h` over split planes for a complex scalar `h`
-/// (`(hr, hi)`), 4 lanes at a time.
-#[cfg(feature = "simd")]
-fn axpy_conj_split(
-    a_re: &[f64],
-    a_im: &[f64],
-    hr: f64,
-    hi: f64,
-    out_re: &mut [f64],
-    out_im: &mut [f64],
-) {
-    use chronos_math::lanes::{fmadd, LANES};
-    let n = a_re.len();
-    let main = n - n % LANES;
-    for c in (0..main).step_by(LANES) {
-        for l in 0..LANES {
-            let ar = a_re[c + l];
-            let ai = a_im[c + l];
-            out_re[c + l] = fmadd(ar, hr, fmadd(ai, hi, out_re[c + l]));
-            out_im[c + l] = fmadd(ar, hi, fmadd(-ai, hr, out_im[c + l]));
-        }
-    }
-    for k in main..n {
-        let ar = a_re[k];
-        let ai = a_im[k];
-        out_re[k] = fmadd(ar, hr, fmadd(ai, hi, out_re[k]));
-        out_im[k] = fmadd(ar, hi, fmadd(-ai, hr, out_im[k]));
     }
 }
 

@@ -247,9 +247,7 @@ impl CMat {
         if b.len() != self.rows {
             return Err(CMatError::DimensionMismatch);
         }
-        let CLstsqScratch {
-            gram, rhs, work, ..
-        } = ws;
+        let CLstsqScratch { gram, rhs, work } = ws;
         self.gram_into(gram);
         let g = gram;
         // Small ridge keeps nearly-coherent atom pairs solvable.
@@ -262,98 +260,14 @@ impl CMat {
         self.hermitian_mul_vec_into(b, rhs);
         g.solve_into(rhs, work, x)
     }
-
-    /// [`CMat::lstsq_into`] with the normal-equations build (`A^H A` and
-    /// `A^H b`) lane-chunked over split re/im planes
-    /// ([`crate::lanes::dot_conj_split`]).
-    ///
-    /// Tolerance tier: the four-accumulator reductions reassociate the
-    /// Gram/RHS sums relative to [`CMat::lstsq_into`], so results agree
-    /// to ≤ 1e-12 relative rather than bitwise; ridge and triangular
-    /// solve are the identical scalar code. The split column copies
-    /// live in the workspace, so a warm workspace allocates nothing.
-    pub fn lstsq_into_lanes(
-        &self,
-        b: &[Complex64],
-        ws: &mut CLstsqScratch,
-        x: &mut Vec<Complex64>,
-    ) -> Result<(), CMatError> {
-        if b.len() != self.rows {
-            return Err(CMatError::DimensionMismatch);
-        }
-        let (rows, cols) = (self.rows, self.cols);
-        let CLstsqScratch {
-            gram,
-            rhs,
-            work,
-            col_re,
-            col_im,
-            b_re,
-            b_im,
-        } = ws;
-        // Column-major split copy of A: column j occupies
-        // [j*rows .. (j+1)*rows] of each plane.
-        col_re.clear();
-        col_im.clear();
-        col_re.resize(rows * cols, 0.0);
-        col_im.resize(rows * cols, 0.0);
-        for (i, row) in self.data.chunks_exact(cols.max(1)).enumerate() {
-            for (j, v) in row.iter().enumerate() {
-                col_re[j * rows + i] = v.re;
-                col_im[j * rows + i] = v.im;
-            }
-        }
-        b_re.clear();
-        b_im.clear();
-        b_re.extend(b.iter().map(|z| z.re));
-        b_im.extend(b.iter().map(|z| z.im));
-        let col = |j: usize| {
-            (
-                &col_re[j * rows..(j + 1) * rows],
-                &col_im[j * rows..(j + 1) * rows],
-            )
-        };
-        gram.reset(cols, cols);
-        for j in 0..cols {
-            let (jr, ji) = col(j);
-            for k in j..cols {
-                let (kr, ki) = col(k);
-                let (re, im) = crate::lanes::dot_conj_split(jr, ji, kr, ki);
-                let v = Complex64::new(re, im);
-                gram.set(j, k, v);
-                gram.set(k, j, v.conj());
-            }
-        }
-        rhs.clear();
-        for j in 0..cols {
-            let (jr, ji) = col(j);
-            let (re, im) = crate::lanes::dot_conj_split(jr, ji, b_re, b_im);
-            rhs.push(Complex64::new(re, im));
-        }
-        let g = gram;
-        // Identical ridge + solve to the scalar path.
-        let trace: f64 = (0..g.rows()).map(|i| g.get(i, i).re).sum();
-        let ridge = 1e-9 * (trace / g.rows() as f64).max(1e-12);
-        for i in 0..g.rows() {
-            let d = g.get(i, i);
-            g.set(i, i, d + Complex64::from_re(ridge));
-        }
-        g.solve_into(rhs, work, x)
-    }
 }
 
-/// Reusable working storage for [`CMat::lstsq_into`] and
-/// [`CMat::lstsq_into_lanes`] (the split planes are only touched by the
-/// lanes variant).
+/// Reusable working storage for [`CMat::lstsq_into`].
 #[derive(Debug, Clone, Default)]
 pub struct CLstsqScratch {
     gram: CMat,
     rhs: Vec<Complex64>,
     work: Vec<Complex64>,
-    col_re: Vec<f64>,
-    col_im: Vec<f64>,
-    b_re: Vec<f64>,
-    b_im: Vec<f64>,
 }
 
 #[cfg(test)]
@@ -486,29 +400,6 @@ mod tests {
             for (u, v) in x.iter().zip(fresh.iter()) {
                 assert_eq!(u.re.to_bits(), v.re.to_bits());
                 assert_eq!(u.im.to_bits(), v.im.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn lstsq_lanes_matches_scalar_within_tolerance() {
-        // Odd row counts exercise the lane tail; warm reuse must not
-        // change the answer.
-        let mut ws = CLstsqScratch::default();
-        let mut xs = Vec::new();
-        for rows in [2usize, 5, 8, 13, 21] {
-            let mut a = CMat::zeros(rows, 2);
-            for i in 0..rows {
-                a.set(i, 0, Complex64::cis(0.3 * i as f64));
-                a.set(i, 1, Complex64::cis(-0.9 * i as f64 + 0.2));
-            }
-            let b: Vec<Complex64> = (0..rows)
-                .map(|i| Complex64::from_polar(1.0 + 0.1 * i as f64, 0.11 * i as f64))
-                .collect();
-            let scalar = a.lstsq(&b).unwrap();
-            a.lstsq_into_lanes(&b, &mut ws, &mut xs).unwrap();
-            for (u, v) in xs.iter().zip(scalar.iter()) {
-                assert!((*u - *v).abs() <= 1e-12 * v.abs().max(1.0), "rows={rows}");
             }
         }
     }

@@ -52,7 +52,6 @@ pub mod complex;
 pub mod constants;
 pub mod crt;
 pub mod cvec;
-pub mod lanes;
 pub mod lstsq;
 pub mod matrix;
 pub mod peaks;

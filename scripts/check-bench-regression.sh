@@ -5,19 +5,19 @@
 #     any metric regresses >20% against the checked-in
 #     BENCH_position.json baseline. Fully deterministic (seeded).
 #  2. Sweep-pipeline throughput: rerun the quick N=8 estimation
-#     benchmark — with the `simd` feature, the configuration the
-#     baseline is recorded under — and fail when the pipeline's speedup
-#     over the pre-refactor reference solver regresses >20% (or drops
-#     below the absolute 3.0x floor; re-baselined from 1.2x when the
-#     lane-chunked SoA solver kernels landed), or when allocs/sweep
-#     increases AT ALL — the zero-allocation contract gates exactly,
-#     not within a tolerance, and on the fix_pool rows it gates the
-#     persistent pool's *worker-side* allocation counter. Wall-clock
-#     sweeps/s columns are informational (they depend on the host);
-#     only the portable ratio/alloc metrics gate. The speedup is
-#     measured paired (reference and pipeline alternate call-by-call,
-#     per-client minimum over rounds), so host contention cancels out
-#     of the ratio instead of tripping the gate.
+#     benchmark and fail when the pipeline's speedup over the
+#     pre-refactor reference solver regresses >20% (or drops below the
+#     absolute 3.0x floor), or when allocs/sweep increases AT ALL — the
+#     zero-allocation contract gates exactly, not within a tolerance,
+#     and on the fix_pool rows it gates the persistent pool's
+#     *worker-side* allocation counter. Wall-clock sweeps/s columns are
+#     informational (they depend on the host); only the portable
+#     ratio/alloc metrics gate. The speedup is measured paired
+#     (reference and pipeline alternate call-by-call, each call timed on
+#     the thread's CPU clock) and gated as the median of the per-pair
+#     ratios, so host contention stays out of the ratio instead of
+#     tripping the gate; the ratio's quartiles and the host's core
+#     count are written next to it.
 #  3. Adversarial detection: rerun the quick replay/inject/jam attack
 #     matrix and fail when detection latency (or honest-client error)
 #     regresses >20%, or the quarantined rate drops >20%, against the
@@ -47,8 +47,7 @@
 # On an *intentional* change, regenerate and commit the baselines:
 #
 #   cargo run --release -p chronos-bench --bin bench_position -- --quick
-#   cargo run --release -p chronos-bench --bin bench_throughput \
-#       --features chronos-core/simd -- --quick
+#   cargo run --release -p chronos-bench --bin bench_throughput -- --quick
 #   cargo run --release -p chronos-bench --bin bench_adversarial -- --quick
 #   cargo run --release -p chronos-bench --bin bench_soak -- --quick
 #   cargo run --release -p chronos-bench --bin bench_fleet -- --quick
@@ -77,8 +76,7 @@ done
 cargo run --release -p chronos-bench --bin bench_position -- \
     --quick --check "$position_baseline" --tolerance 0.20
 
-cargo run --release -p chronos-bench --bin bench_throughput \
-    --features chronos-core/simd -- \
+cargo run --release -p chronos-bench --bin bench_throughput -- \
     --quick --check "$throughput_baseline" --tolerance 0.20
 
 cargo run --release -p chronos-bench --bin bench_adversarial -- \
