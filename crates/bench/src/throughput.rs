@@ -19,11 +19,12 @@
 //!   path through the allocating API vs a warm
 //!   [`chronos_core::pipeline::SweepPipeline`]; the pipeline row must
 //!   report **0 allocs/sweep**.
-//! * `pool_spinup` / `fix_pool_w{1,2,4}` — the persistent
-//!   [`chronos_core::WorkerRuntime`]: spin-up cost paid **once** (thread
-//!   spawns, ring allocation — reported as its own row, not amortized
-//!   into the sweep rows), then steady-state fix sweeps batched through
-//!   the pool at 1/2/4-way concurrency. The pool rows' alloc column
+//! * `pool_spinup` / `fix_pool_w{1,2,4}` — the
+//!   [`chronos_core::WorkerRuntime`]: construction cost paid **once**
+//!   (its lane pipelines; it starts no threads — reported as its own
+//!   row, not amortized into the sweep rows), then steady-state fix
+//!   sweeps batched through it at 1/2/4-way concurrency, each batch
+//!   running its lanes on scoped threads. The pool rows' alloc column
 //!   counts **worker-side** allocation events (via the
 //!   [`chronos_core::runtime::set_alloc_probe`] hook) and must stay 0.
 //!
@@ -199,8 +200,8 @@ impl DenseReference {
 pub struct ThroughputCase {
     /// Row key.
     pub name: &'static str,
-    /// Total concurrency of the case (1 for the inline rows; worker
-    /// threads + the helping submitter for the pool rows).
+    /// Total concurrency of the case (1 for the inline rows; runtime
+    /// lanes + the submitter's own lane for the pool rows).
     pub workers: usize,
     /// Completed estimation sweeps per second: of wall time, except on
     /// the two solver rows, which count the solving thread's CPU time.
@@ -403,9 +404,9 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
         speedup_quartiles: None,
     });
 
-    // 6. Persistent worker pool. Spin-up (thread spawns + ring) is paid
-    // once per runtime lifetime, so it gets its own row instead of
-    // being smeared into the per-sweep rates below.
+    // 6. Worker runtime. Construction (the lane pipelines) is paid once
+    // per runtime lifetime, so it gets its own row instead of being
+    // smeared into the per-sweep rates below.
     let jobs: Vec<FixJob> = track_products
         .iter()
         .map(|ps| FixJob {
@@ -416,7 +417,7 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
 
     let a0 = thread_allocations();
     let t0 = Instant::now();
-    let pool_w4 = WorkerRuntime::new(3); // 3 workers + helping submitter
+    let pool_w4 = WorkerRuntime::new(3); // 3 lanes + the submitter's own
     let spinup_dt = t0.elapsed().as_secs_f64();
     cases.push(ThroughputCase {
         name: "pool_spinup",
@@ -426,12 +427,12 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
         speedup_x: None,
         speedup_quartiles: None,
     });
-    let pool_w2 = WorkerRuntime::new(1); // 1 worker + helping submitter
+    let pool_w2 = WorkerRuntime::new(1); // 1 lane + the submitter's own
 
     // 7. Steady-state fix sweeps through the pool at 1/2/4-way
     // concurrency (the worker-scaling column). The alloc column reads
-    // the runtime's worker-side probe: after warm-up every worker owns
-    // a grown arena, so the persistent-worker path must report 0. No
+    // the runtime's worker-side probe: after warm-up every lane owns a
+    // grown arena, so the batched path must report 0. No
     // gated speedup — wall-clock scaling is hardware-dependent (CI may
     // pin a single core); the workers column plus sweeps/s documents it.
     for (name, concurrency, pool) in [
@@ -451,12 +452,12 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
                 })
             }
             Some(pool) => {
-                // Deterministically warm every worker's arena on every
-                // client shape (job→worker assignment in run_batch is
+                // Deterministically warm every lane's arena on every
+                // client shape (job→lane assignment in run_batch is
                 // racy, so ordinary warm-up batches could leave some
-                // (worker, client) pair cold — peak/grouping scratch is
+                // (lane, client) pair cold — peak/grouping scratch is
                 // data-dependent — and charge its one-time growth to the
-                // timed loop), plus the helping submitter's pipeline.
+                // timed loop), plus the submitter's own pipeline.
                 for job in &jobs {
                     std::hint::black_box(pool.prewarm(job));
                     std::hint::black_box(job.run(&mut local));

@@ -474,16 +474,16 @@ pub struct ServiceEngine {
     ingest: Option<IngestState>,
     clock: Instant,
     /// The submitter-side scratch pipeline: runs single-sweep batches
-    /// inline and helps drain the runtime's ring on multi-sweep batches.
-    /// Allocated lazily, reused for every subsequent batch — this is
-    /// what makes steady-state estimation allocation-free. (Worker
-    /// threads own their pipelines inside the [`WorkerRuntime`].)
-    pipelines: Vec<SweepPipeline>,
-    /// The persistent worker pool. Created once — lazily on the first
+    /// inline and is the submitter's own lane on multi-sweep batches.
+    /// Its buffers grow on first use and are reused for every later
+    /// batch — this is what makes steady-state estimation
+    /// allocation-free. (The other lanes' pipelines live in the
+    /// [`WorkerRuntime`].)
+    pipeline: SweepPipeline,
+    /// The worker runtime. Created once — lazily on the first
     /// multi-sweep batch, or installed up front via
-    /// [`ServiceEngine::set_runtime`] so fleet shards share one pool —
-    /// and reused for every batch after; the engine never spawns another
-    /// thread past this point.
+    /// [`ServiceEngine::set_runtime`] so fleet shards share one — and
+    /// reused, warm lane pipelines included, for every batch after.
     runtime: Option<Arc<WorkerRuntime>>,
 }
 
@@ -519,7 +519,7 @@ impl ServiceEngine {
             in_flight: 0,
             ingest,
             clock: Instant::ZERO,
-            pipelines: Vec::new(),
+            pipeline: SweepPipeline::default(),
             runtime: None,
         }
     }
@@ -931,19 +931,17 @@ impl ServiceEngine {
         }
     }
 
-    /// Runs a batch of admitted sweeps on the persistent worker runtime:
-    /// every job is submitted to the pool's lock-free ring and executed
-    /// on a long-lived worker (or the helping submitter), each worker
-    /// owning a [`SweepPipeline`] whose scratch arena survives across
-    /// every batch of the runtime's lifetime. Results come back in
-    /// submission (ordinal) order, and each job owns its seeded RNG, so
-    /// neither the thread schedule nor the batching can change any
-    /// result — the `{1, 2, 8}`-thread bitwise determinism tests pin
-    /// this.
+    /// Runs a batch of admitted sweeps on the worker runtime: the
+    /// runtime's idle lanes and the submitter's own pipeline claim jobs
+    /// side by side, each lane's [`SweepPipeline`] scratch arena
+    /// surviving across every batch of the runtime's lifetime. Results
+    /// come back in submission (ordinal) order, and each job owns its
+    /// seeded RNG, so neither the thread schedule nor the batching can
+    /// change any result — the `{1, 2, 8}`-thread bitwise determinism
+    /// tests pin this.
     ///
-    /// The pool is created exactly once (here, lazily, or installed via
-    /// [`ServiceEngine::set_runtime`]); the engine never spawns a thread
-    /// per batch.
+    /// The runtime is created exactly once (here, lazily, or installed
+    /// via [`ServiceEngine::set_runtime`]).
     fn execute(&mut self, jobs: &[Job]) -> Vec<SweepOutput> {
         fn batch_of<'a>(slots: &'a [Slot], slice: &'a [Job]) -> Vec<BatchSweep<'a>> {
             slice
@@ -958,17 +956,14 @@ impl ServiceEngine {
         }
         let n_threads = self.thread_count();
         let slots = self.slots.as_slice();
-        if self.pipelines.is_empty() {
-            self.pipelines.push(SweepPipeline::new());
-        }
         // Continuous-cadence batches are usually a single sweep: run
         // those inline on the submitter's pipeline rather than paying a
-        // queue round-trip per sweep.
+        // thread spawn per sweep.
         if jobs.len() <= 1 || n_threads == 1 {
-            return self.pipelines[0].run_batch(&batch_of(slots, jobs));
+            return self.pipeline.run_batch(&batch_of(slots, jobs));
         }
         let runtime = ensure_runtime(&mut self.runtime, n_threads - 1);
-        runtime.run_batch(&batch_of(slots, jobs), &mut self.pipelines[0])
+        runtime.run_batch(&batch_of(slots, jobs), &mut self.pipeline)
     }
 
     /// The persistent worker runtime, if one has been created (lazily on
@@ -979,23 +974,10 @@ impl ServiceEngine {
     }
 
     /// Installs a (possibly shared) worker runtime. A fleet installs one
-    /// pool across all its shards so N shards don't spawn N pools; a
-    /// bench can install a pre-spun pool to measure spin-up separately
-    /// from throughput.
+    /// runtime across all its shards so N shards share one set of lanes
+    /// instead of over-subscribing the host with N.
     pub fn set_runtime(&mut self, runtime: Arc<WorkerRuntime>) {
         self.runtime = Some(runtime);
-    }
-
-    /// Explicitly sizes the engine's worker pool to `workers` pool
-    /// threads (the submitter still helps, so effective concurrency is
-    /// `workers + 1`), resizing a live pool in place or creating one —
-    /// the escape hatch from the lazy `thread_count() - 1` default.
-    /// Call between windows; see [`WorkerRuntime::resize`].
-    pub fn set_pool_workers(&mut self, workers: usize) {
-        match &self.runtime {
-            Some(rt) => rt.resize(workers),
-            None => self.runtime = Some(Arc::new(WorkerRuntime::new(workers))),
-        }
     }
 
     /// Pre-builds the NDFT plans every client's ACQUIRE (full-plan)
@@ -1011,19 +993,16 @@ impl ServiceEngine {
     /// number of distinct plans built or found resident.
     pub fn prewarm_plans(&mut self) -> usize {
         let n_threads = self.thread_count();
-        if self.pipelines.is_empty() {
-            self.pipelines.push(SweepPipeline::new());
-        }
         let mut jobs: Vec<PlanPrewarmJob<'_>> = Vec::new();
         collect_plan_jobs(&self.slots, &self.plans, &mut jobs);
         if jobs.len() <= 1 || n_threads == 1 {
             for job in &jobs {
-                job.run(&mut self.pipelines[0]);
+                job.run(&mut self.pipeline);
             }
             return jobs.len();
         }
         let runtime = ensure_runtime(&mut self.runtime, n_threads - 1);
-        runtime.run_batch(&jobs, &mut self.pipelines[0]);
+        runtime.run_batch(&jobs, &mut self.pipeline);
         jobs.len()
     }
 
@@ -1548,12 +1527,12 @@ impl ServiceEngine {
     }
 }
 
-/// Returns the engine's runtime, creating a pool of `workers` threads on
+/// Returns the engine's runtime, creating one of `workers` lanes on
 /// first use. A free function (not a method) so callers can hold other
 /// `self` field borrows across the call.
 fn ensure_runtime(slot: &mut Option<Arc<WorkerRuntime>>, workers: usize) -> &Arc<WorkerRuntime> {
-    // The submitter helps, so `workers` pool threads give `workers + 1`
-    // effective concurrency.
+    // The submitter is one more lane, so `workers` lanes give
+    // `workers + 1` effective concurrency.
     slot.get_or_insert_with(|| Arc::new(WorkerRuntime::new(workers)))
 }
 

@@ -520,7 +520,7 @@ pub struct FleetEngine {
     runtime: Option<std::sync::Arc<WorkerRuntime>>,
     /// Pool workers serving shard-level jobs; 0 = serial shard loop.
     shard_workers: usize,
-    /// The fleet driver's own helping pipeline for pool submissions
+    /// The fleet driver's own lane pipeline for runtime submissions
     /// (shard-window driver batches, plan prewarm).
     pipeline: SweepPipeline,
 }
@@ -540,13 +540,12 @@ impl FleetEngine {
                 std::sync::Arc::clone(&plans),
             ));
         }
-        // One persistent worker pool for the whole fleet, sized by
-        // [`FleetConfig::workers`]: with shard-level workers the pool
-        // runs whole shard windows concurrently (the coarse ring) *and*
-        // every shard's sweep batches (the fine ring); with 0 shard
-        // workers the shard loop stays serial but shards still share
-        // one sweep pool when the service is multi-threaded. Either
-        // way, the fleet never spawns a thread after this constructor.
+        // One worker runtime for the whole fleet, sized by
+        // [`FleetConfig::workers`]: with shard-level workers its lanes
+        // run whole shard windows concurrently (driver batches) *and*
+        // every shard's sweep batches; with 0 shard workers the shard
+        // loop stays serial but shards still share one set of sweep
+        // lanes when the service is multi-threaded.
         let threads = shards[0].thread_count();
         let shard_workers = if aps.len() > 1 {
             cfg.workers.unwrap_or_else(|| threads.saturating_sub(1))
@@ -932,12 +931,12 @@ impl FleetEngine {
     /// the shard windows between boundaries share no mutable state
     /// (each shard owns its clients, events, and RNG stream; the plan
     /// cache is content-addressed), so with a pool
-    /// ([`FleetConfig::workers`]) they run concurrently as coarse
-    /// driver jobs, each of which may itself fan its multi-client
-    /// sweep batches onto the *same* pool as fine tasks. Results land
-    /// in ordinal slots and each shard is seeded independently, so
-    /// every [`FleetWindowReport`] field is bitwise identical across
-    /// worker counts and vs. the serial loop, except two pieces of
+    /// ([`FleetConfig::workers`]) they run concurrently as driver jobs,
+    /// each of which may itself fan its multi-client sweep batches onto
+    /// the *same* runtime's idle lanes. Results land in ordinal slots
+    /// and each shard is seeded independently, so every
+    /// [`FleetWindowReport`] field is bitwise identical across worker
+    /// counts and vs. the serial loop, except two pieces of
     /// execution metadata: `shard_reports[..].wall` (host wall clock)
     /// and `shard_reports[..].cache.hits` — a *lookup* count that
     /// depends on per-pipeline plan-memo warmth, hence on which worker
@@ -1015,7 +1014,7 @@ impl FleetEngine {
     }
 }
 
-/// One shard's `run_until` window as a coarse pool job
+/// One shard's `run_until` window as a driver job
 /// ([`WorkerRuntime::run_driver_batch`]). The `Mutex<Option<&mut ..>>`
 /// smuggles the exclusive shard borrow through the `&self` job
 /// interface; each job is executed exactly once, so the `take` never

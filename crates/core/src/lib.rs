@@ -93,6 +93,8 @@
 //! knobs with paper-matched defaults, and [`error`] the pipeline's
 //! failure taxonomy.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod crt;
 pub mod delay;
@@ -128,7 +130,7 @@ pub use error::ChronosError;
 pub use pipeline::{EstimatorScratch, SweepPipeline};
 pub use plan::{CacheStats, NdftPlan, PlanCache};
 pub use profile::MultipathProfile;
-pub use runtime::{PoolJob, TokenRing, WorkerRuntime};
+pub use runtime::{PoolJob, WorkerRuntime};
 pub use service::{CadenceConfig, EpochReport, QuarantineConfig, RangingService, ServiceConfig};
 pub use session::{ChronosSession, SweepOutput};
 pub use tof::{BandSample, TofEstimate, TofEstimator, TofFix};

@@ -543,10 +543,11 @@ fn window_reports_bitwise_identical_across_thread_counts() {
     assert_eq!(one, fingerprint(8), "threads=8 diverged");
 }
 
-/// The engine spawns its worker pool exactly once: across consecutive
-/// windows the same `WorkerRuntime` keeps serving (same instance, same
-/// thread count) with its lifetime batch counter growing — scheduling
-/// never spawns a thread per batch or per window.
+/// The engine builds its worker runtime exactly once: across consecutive
+/// windows the same `WorkerRuntime` instance keeps serving, with the
+/// same lanes and their warm pipelines and a growing lifetime batch
+/// counter — scheduling never rebuilds the runtime per batch or per
+/// window.
 #[test]
 fn worker_runtime_persists_across_windows() {
     use std::sync::Arc;
@@ -560,7 +561,7 @@ fn worker_runtime_persists_across_windows() {
         assert_eq!(
             rt.workers(),
             3,
-            "4 threads = 3 pool workers + helping submitter"
+            "4 threads = 3 lanes + the submitter's own pipeline"
         );
         assert!(rt.batches_run() > 0, "no batch reached the pool");
         (Arc::as_ptr(rt), rt.batches_run())
@@ -580,9 +581,9 @@ fn worker_runtime_persists_across_windows() {
     assert_eq!(
         Arc::as_ptr(rt),
         first_ptr,
-        "the engine must reuse its pool, never respawn it"
+        "the engine must reuse its runtime, never rebuild it"
     );
-    assert_eq!(rt.workers(), 3, "worker count must stay fixed for life");
+    assert_eq!(rt.workers(), 3, "lane count must stay fixed for life");
     assert!(
         rt.batches_run() > batches_after_first,
         "the second window must batch through the same pool"
